@@ -3,7 +3,7 @@ GO ?= go
 # Preset for the tracked offline benchmark; CI smoke-tests with tiny.
 BENCH_PRESET ?= lastfm
 
-.PHONY: build test bench bench-smoke vet vet-custom check fmt fuzz lint e2e-distrib e2e-replicate
+.PHONY: build test bench bench-smoke vet vet-custom check fmt fuzz lint e2e-replicate
 
 build:
 	$(GO) build ./...
@@ -49,12 +49,6 @@ bench:
 # work that belongs in the full `make bench` run.
 bench-smoke:
 	$(GO) run ./cmd/benchoffline -preset tiny -scale-tags 1000,5000 -skip-ann -out BENCH_offline.json
-
-# e2e-distrib runs the coordinator against two real cubelsiworker
-# processes and asserts the distributed model file is byte-identical to
-# the in-process one.
-e2e-distrib:
-	./scripts/e2e_distrib.sh
 
 # e2e-replicate runs one cubelsiserve writer and two read-only replicas,
 # streams a delta log through /stream, and asserts both replicas converge

@@ -299,3 +299,38 @@ func TestBuildDefaultsToDefaultConfig(t *testing.T) {
 		t.Fatal("no assignments")
 	}
 }
+
+// TestParallelismOptionValidation pins the boundary behavior of the
+// parallelism knob: zero, one and above-row-count values build (and
+// serve identically to the default build), while negative values are
+// rejected up front with an error wrapping ErrInvalidOptions instead of
+// being silently clamped.
+func TestParallelismOptionValidation(t *testing.T) {
+	baseline := buildCorpus(t)
+	for _, workers := range []int{0, 1, 10_000} {
+		eng := buildCorpus(t, WithConfig(testConfig()), WithTuckerParallelism(workers))
+		if eng.Stats() != baseline.Stats() {
+			t.Fatalf("workers=%d: stats diverge: %+v vs %+v", workers, eng.Stats(), baseline.Stats())
+		}
+	}
+
+	ctx := context.Background()
+	for _, workers := range []int{-1, -7} {
+		opt := WithTuckerParallelism(workers)
+		_, err := Build(ctx, FromAssignments(corpus()), WithConfig(testConfig()), opt)
+		if !errors.Is(err, ErrInvalidOptions) {
+			t.Fatalf("workers=%d: Build error = %v, want ErrInvalidOptions", workers, err)
+		}
+		if !strings.Contains(err.Error(), "WithTuckerParallelism") {
+			t.Fatalf("workers=%d: error %q does not name the option", workers, err)
+		}
+		if _, err := NewIndex(ctx, FromAssignments(corpus()), WithConfig(testConfig()), opt); !errors.Is(err, ErrInvalidOptions) {
+			t.Fatalf("workers=%d: NewIndex error = %v, want ErrInvalidOptions", workers, err)
+		}
+	}
+
+	// The first invalid option wins even when followed by a valid one.
+	if _, err := Build(ctx, FromAssignments(corpus()), WithTuckerParallelism(-1), WithTuckerParallelism(2)); !errors.Is(err, ErrInvalidOptions) {
+		t.Fatalf("error = %v, want ErrInvalidOptions", err)
+	}
+}

@@ -73,6 +73,22 @@ func TestCompareToleratesOldBaseFormat(t *testing.T) {
 	if regs := regressions(compare(base, head, 0.25, 25)); len(regs) != 0 {
 		t.Fatalf("new metric without baseline must be skipped: %+v", regs)
 	}
+
+	// A merge-base that still records the retired shard and distrib
+	// sections must not fail a head that no longer writes them.
+	base = parse(t, `{
+      "build": {"embedding_path": {"decompose_ms": 1000, "total_ms": 1200}},
+      "shard": {"shards": [{"shards": 1, "ms": 500}, {"shards": 4, "ms": 180}]},
+      "distrib": {"workers": [{"workers": 1, "ms": 800}, {"workers": 2, "ms": 450}]}
+    }`)
+	head = parse(t, `{"build": {"embedding_path": {"decompose_ms": 1000, "total_ms": 1200}}}`)
+	rows := compare(base, head, 0.25, 25)
+	if regs := regressions(rows); len(regs) != 0 {
+		t.Fatalf("retired sections in the base must be ignored: %+v", regs)
+	}
+	if len(rows) != 2 {
+		t.Fatalf("want only the 2 build rows, got %+v", rows)
+	}
 }
 
 func TestCompareGatesUpdateSection(t *testing.T) {
@@ -102,66 +118,6 @@ func TestCompareGatesUpdateSection(t *testing.T) {
 	old := parse(t, `{"build": {"embedding_path": {"decompose_ms": 1000, "total_ms": 1200}}}`)
 	if regs := regressions(compare(old, head, 0.25, 25)); len(regs) != 0 {
 		t.Fatalf("update metrics without baseline must be skipped: %+v", regs)
-	}
-}
-
-func TestCompareGatesShardSection(t *testing.T) {
-	base := parse(t, `{
-      "shard": {"shards": [{"shards": 1, "ms": 500}, {"shards": 4, "ms": 180}]}
-    }`)
-
-	// Within threshold: quiet.
-	head := parse(t, `{
-      "shard": {"shards": [{"shards": 1, "ms": 520}, {"shards": 4, "ms": 190}]}
-    }`)
-	if regs := regressions(compare(base, head, 0.25, 25)); len(regs) != 0 {
-		t.Fatalf("unexpected regressions: %+v", regs)
-	}
-
-	// A 4-shard pass that slowed past threshold+floor trips the gate the
-	// same way decompose worker points do.
-	head = parse(t, `{
-      "shard": {"shards": [{"shards": 1, "ms": 500}, {"shards": 4, "ms": 400}]}
-    }`)
-	regs := regressions(compare(base, head, 0.25, 25))
-	if len(regs) != 1 || regs[0].name != "shard.shards[4].ms" {
-		t.Fatalf("want shard.shards[4].ms regression, got %+v", regs)
-	}
-
-	// Baselines predating the shard section never fail on it.
-	old := parse(t, `{"build": {"embedding_path": {"decompose_ms": 1000, "total_ms": 1200}}}`)
-	if regs := regressions(compare(old, head, 0.25, 25)); len(regs) != 0 {
-		t.Fatalf("shard metrics without baseline must be skipped: %+v", regs)
-	}
-}
-
-func TestCompareGatesDistribSection(t *testing.T) {
-	base := parse(t, `{
-      "distrib": {"workers": [{"workers": 1, "ms": 800}, {"workers": 2, "ms": 450}]}
-    }`)
-
-	// Within threshold: quiet.
-	head := parse(t, `{
-      "distrib": {"workers": [{"workers": 1, "ms": 820}, {"workers": 2, "ms": 470}]}
-    }`)
-	if regs := regressions(compare(base, head, 0.25, 25)); len(regs) != 0 {
-		t.Fatalf("unexpected regressions: %+v", regs)
-	}
-
-	// A 2-worker remote build that slowed past threshold+floor trips the
-	// gate like any other timing.
-	head = parse(t, `{
-      "distrib": {"workers": [{"workers": 1, "ms": 800}, {"workers": 2, "ms": 700}]}
-    }`)
-	regs := regressions(compare(base, head, 0.25, 25))
-	if len(regs) != 1 || regs[0].name != "distrib.workers[2].ms" {
-		t.Fatalf("want distrib.workers[2].ms regression, got %+v", regs)
-	}
-
-	// Baselines predating the distrib section never fail on it.
-	old := parse(t, `{"build": {"embedding_path": {"decompose_ms": 1000, "total_ms": 1200}}}`)
-	if regs := regressions(compare(old, head, 0.25, 25)); len(regs) != 0 {
-		t.Fatalf("distrib metrics without baseline must be skipped: %+v", regs)
 	}
 }
 

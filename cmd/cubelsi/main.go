@@ -9,11 +9,9 @@
 //	cubelsi -data corpus.tsv -clusters
 //	cubelsi -data corpus.tsv -save model.clsi      # offline build
 //	cubelsi -load model.clsi -query "jazz"         # serve a saved model
-//	cubelsi -load old.model -save new.model        # upgrade v1/v2 → v3 format
+//	cubelsi -load old.model -save new.model        # rewrite in the current format
 //	cubelsi -data corpus.tsv -update delta.tsv -save model.clsi
 //	                                               # incremental: warm-start rebuild
-//	cubelsi -data corpus.tsv -save model.clsi -workers-addr host1:9090,host2:9090
-//	                                               # distributed build on cubelsiworker fleet
 //
 // -update applies an assignment delta after the initial build through
 // the incremental Index lifecycle: lines of "user\ttag\tresource" are
@@ -28,7 +26,6 @@
 package main
 
 import (
-	"bufio"
 	"context"
 	"flag"
 	"fmt"
@@ -38,6 +35,7 @@ import (
 	"syscall"
 
 	"repro"
+	"repro/internal/tagging"
 )
 
 func main() {
@@ -55,8 +53,6 @@ func main() {
 	seed := flag.Int64("seed", 1, "random seed")
 	progress := flag.Bool("progress", false, "report pipeline stages on stderr")
 	workers := flag.Int("workers", 0, "ALS worker pool bound (0 = all CPUs, 1 = serial; factors are identical at any value)")
-	shards := flag.Int("shards", 0, "partition the tag-row pipeline stages into this many contiguous blocks (0/1 = monolithic; results are identical at any value)")
-	workersAddr := flag.String("workers-addr", "", "comma-separated cubelsiworker endpoints to fan the offline build out to (results are bit-identical to the in-process build)")
 	sketch := flag.Bool("sketch", false, "use the randomized range finder for large-mode SVDs (faster, near-optimal fit)")
 	sketchOversample := flag.Int("sketch-oversample", 0, "extra sketch columns beyond the core dimension (0 = default 8; implies -sketch)")
 	sketchPower := flag.Int("sketch-power", 0, "sketch power-iteration rounds (0 = default 2; implies -sketch)")
@@ -71,7 +67,7 @@ func main() {
 	bf := buildFlags{
 		ratio: *ratio, concepts: *concepts, minSupport: *minSupport,
 		seed: *seed, progress: *progress,
-		workers: *workers, shards: *shards, workersAddr: *workersAddr,
+		workers: *workers,
 		// Tuning a sketch parameter is asking for the sketch.
 		sketch:           *sketch || *sketchOversample != 0 || *sketchPower != 0,
 		sketchOversample: *sketchOversample, sketchPower: *sketchPower,
@@ -148,8 +144,6 @@ type buildFlags struct {
 	seed             int64
 	progress         bool
 	workers          int
-	shards           int
-	workersAddr      string
 	sketch           bool
 	sketchOversample int
 	sketchPower      int
@@ -169,12 +163,6 @@ func (bf buildFlags) options() ([]cubelsi.BuildOption, error) {
 	// silently clamped here.
 	if bf.workers != 0 {
 		opts = append(opts, cubelsi.WithTuckerParallelism(bf.workers))
-	}
-	if bf.shards != 0 {
-		opts = append(opts, cubelsi.WithShards(bf.shards))
-	}
-	if bf.workersAddr != "" {
-		opts = append(opts, cubelsi.WithRemoteWorkers(splitTags(bf.workersAddr)...))
 	}
 	if bf.sketch {
 		opts = append(opts, cubelsi.WithSketch(bf.sketchOversample, bf.sketchPower))
@@ -251,32 +239,22 @@ func readDeltaTSV(path string) (cubelsi.Delta, error) {
 		return d, fmt.Errorf("delta: %w", err)
 	}
 	defer f.Close()
-	sc := bufio.NewScanner(f)
-	line := 0
-	for sc.Scan() {
-		line++
-		text := strings.TrimRight(sc.Text(), "\r\n")
-		if text == "" || strings.HasPrefix(text, "#") {
-			continue
+	err = tagging.ScanTSV(f, func(line int, text string) error {
+		rest, remove := strings.CutPrefix(text, "-\t")
+		u, t, r, err := tagging.SplitRecord(line, rest)
+		if err != nil {
+			return err
 		}
-		remove := false
-		if rest, ok := strings.CutPrefix(text, "-\t"); ok {
-			remove = true
-			text = rest
-		}
-		fields := strings.Split(text, "\t")
-		if len(fields) != 3 {
-			return d, fmt.Errorf("delta line %d: want 3 tab-separated fields, got %d", line, len(fields))
-		}
-		a := cubelsi.Assignment{User: fields[0], Tag: fields[1], Resource: fields[2]}
+		a := cubelsi.Assignment{User: u, Tag: t, Resource: r}
 		if remove {
 			d.Remove = append(d.Remove, a)
 		} else {
 			d.Add = append(d.Add, a)
 		}
-	}
-	if err := sc.Err(); err != nil {
-		return d, fmt.Errorf("delta: %w", err)
+		return nil
+	})
+	if err != nil {
+		return cubelsi.Delta{}, fmt.Errorf("delta: %w", err)
 	}
 	return d, nil
 }

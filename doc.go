@@ -21,12 +21,9 @@
 //			log.Printf("%s done=%v %v", p.Stage, p.Done, p.Elapsed)
 //		}))
 //
-// Builds scale out in two orthogonal directions: WithTuckerParallelism
-// bounds the ALS worker pool, WithShards partitions the tag-row stages
-// into contiguous row blocks, and WithRemoteWorkers ships those blocks
-// to cubelsiworker processes — none of which changes the output
-// (factors, partitions and rankings are bit-identical at any worker,
-// shard or fleet size).
+// WithTuckerParallelism bounds the ALS worker pool; it never changes
+// the output (factors, partitions and rankings are bit-identical at any
+// worker count).
 //
 // # Models
 //
@@ -36,14 +33,14 @@
 //	err = eng.Save(w)
 //	eng, err = cubelsi.Load(r)
 //
-// The current format (v4) is aligned and offset-indexed so a model
+// The current format (v5) is aligned and offset-indexed so a model
 // file can be memory-mapped and served zero-copy — LoadMapped (or
 // LoadFile with WithMapped) opens a multi-gigabyte model in
 // milliseconds — and can carry optional int8/float16 quantized
 // embedding views for ANN candidate generation (WithInt8Embedding,
 // WithFloat16Embedding). Engines derived with WithANN answer
 // RelatedTags through an inverted-file index over the concept
-// centroids instead of the exact scan. All older formats (v1–v3) still
+// centroids instead of the exact scan. All older formats (v1–v4) still
 // load through the same calls.
 //
 // # Queries

@@ -1,18 +1,18 @@
 // Package ctxflow defines an Analyzer that enforces context threading
 // in the packages that do real work on behalf of a caller.
 //
-// The build pipeline (internal/core, internal/tucker), the fleet
-// planes (internal/distrib, internal/replicate) and the serving-side
-// retrieval pipeline (internal/retrieve) are cancellation-safe end to
-// end: a caller that abandons a build or a replica pull must be
-// able to stop the goroutines and I/O spawned for it. That only holds
+// The build pipeline (internal/core, internal/tucker), the replica
+// fleet plane (internal/replicate) and the serving-side retrieval
+// pipeline (internal/retrieve) are cancellation-safe end to end: a
+// caller that abandons a build or a replica pull must be able to stop
+// the goroutines and I/O spawned for it. That only holds
 // if every exported entry point that does I/O or spawns goroutines
 // accepts a context.Context and threads the caller's — an entry point
 // that quietly roots itself with context.Background() detaches its
 // subtree from cancellation and deadlines.
 //
 // Two checks, scoped by the -pkgs flag (comma-separated import-path
-// suffixes; default covers the five packages above), in non-test
+// suffixes; default covers the four packages above), in non-test
 // files:
 //
 //   - an exported function or method whose body contains a go
@@ -43,7 +43,7 @@ var pkgs string
 
 func init() {
 	Analyzer.Flags.StringVar(&pkgs, "pkgs",
-		"internal/core,internal/tucker,internal/distrib,internal/replicate,internal/retrieve",
+		"internal/core,internal/tucker,internal/replicate,internal/retrieve",
 		"comma-separated import-path suffixes the invariant applies to")
 }
 

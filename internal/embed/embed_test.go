@@ -76,9 +76,15 @@ func TestPairwiseMatchesDistanceMatrix(t *testing.T) {
 }
 
 func TestNearestKMatchesBruteForce(t *testing.T) {
-	e := syntheticEmbedding(137, 5)
+	for _, n := range []int{137, 37} {
+		nearestKMatchesBruteForce(t, syntheticEmbedding(n, 5))
+	}
+}
+
+func nearestKMatchesBruteForce(t *testing.T, e *TagEmbedding) {
+	t.Helper()
 	n := e.NumTags()
-	for _, probe := range []int{0, 1, 68, n - 1} {
+	for _, probe := range []int{0, 1, n / 2, n - 1} {
 		brute := make([]Neighbor, 0, n-1)
 		for j := range n {
 			if j != probe {
@@ -129,6 +135,23 @@ func TestNearestKDeterministicTies(t *testing.T) {
 			t.Fatalf("identical points must be at distance 0: %+v", got)
 		}
 	}
+
+	// Two tied distances: tags 2 and 4 tie at 2, tags 0 and 1 at 3 with
+	// one slot left, so the tie at the k-th slot keeps the lower id.
+	line := mat.New(5, 1)
+	for i, x := range []float64{3, -3, 2, 0, -2} {
+		line.Set(i, 0, x)
+	}
+	got = FromMatrix(line).NearestK(3, 3)
+	want := []Neighbor{{Tag: 2, Dist: 2}, {Tag: 4, Dist: 2}, {Tag: 0, Dist: 3}}
+	if len(got) != len(want) {
+		t.Fatalf("NearestK returned %d neighbors, want %d", len(got), len(want))
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("rank %d: %+v, want %+v", i, got[i], want[i])
+		}
+	}
 }
 
 func TestNearestKSingleton(t *testing.T) {
@@ -137,38 +160,25 @@ func TestNearestKSingleton(t *testing.T) {
 	}
 }
 
-func TestPairwiseBlock(t *testing.T) {
-	e := syntheticEmbedding(23, 4)
-	full := e.Pairwise()
-	for _, bounds := range [][2]int{{0, 23}, {0, 1}, {5, 11}, {22, 23}, {7, 7}} {
-		lo, hi := bounds[0], bounds[1]
-		block := e.PairwiseBlock(lo, hi)
-		if r, c := block.Dims(); r != hi-lo || c != 23 {
-			t.Fatalf("block [%d,%d) is %d×%d", lo, hi, r, c)
-		}
-		for i := lo; i < hi; i++ {
-			for j := range 23 {
-				if block.At(i-lo, j) != full.At(i, j) {
-					t.Fatalf("block[%d,%d] = %v, full = %v", i-lo, j, block.At(i-lo, j), full.At(i, j))
-				}
-			}
-		}
-	}
-}
-
 func TestPairwiseSymmetricZeroDiagonal(t *testing.T) {
-	e := syntheticEmbedding(31, 6)
-	p := e.Pairwise()
-	for i := range 31 {
-		if p.At(i, i) != 0 {
-			t.Fatalf("diagonal [%d] = %v", i, p.At(i, i))
-		}
-		for j := range 31 {
-			if p.At(i, j) != p.At(j, i) {
-				t.Fatalf("asymmetric at (%d,%d)", i, j)
+	for _, shape := range [][2]int{{31, 6}, {23, 4}} {
+		n := shape[0]
+		e := syntheticEmbedding(n, shape[1])
+		p := e.Pairwise()
+		for i := range n {
+			if p.At(i, i) != 0 {
+				t.Fatalf("diagonal [%d] = %v", i, p.At(i, i))
 			}
-			if p.At(i, j) < 0 {
-				t.Fatal("negative distance")
+			for j := range n {
+				if p.At(i, j) != p.At(j, i) {
+					t.Fatalf("asymmetric at (%d,%d)", i, j)
+				}
+				if p.At(i, j) < 0 {
+					t.Fatal("negative distance")
+				}
+				if i != j && p.At(i, j) != e.Dist(i, j) {
+					t.Fatalf("Pairwise[%d,%d] = %v, Dist = %v", i, j, p.At(i, j), e.Dist(i, j))
+				}
 			}
 		}
 	}

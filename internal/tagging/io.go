@@ -21,27 +21,57 @@ func WriteTSV(w io.Writer, d *Dataset) error {
 	return bw.Flush()
 }
 
+// maxLineBytes bounds one TSV line. bufio.Scanner's 64 KiB default is
+// too small for corpora with long resource identifiers.
+const maxLineBytes = 16 * 1024 * 1024
+
+// ScanTSV calls fn with the 1-based line number and text of every line
+// of r that is neither blank nor a '#'-comment, stopping at fn's first
+// error. Lines may be up to 16 MiB long.
+func ScanTSV(r io.Reader, fn func(line int, text string) error) error {
+	sc := bufio.NewScanner(r)
+	sc.Buffer(make([]byte, 0, 64*1024), maxLineBytes)
+	lineNo := 0
+	for sc.Scan() {
+		lineNo++
+		text := strings.TrimRight(sc.Text(), "\r\n")
+		if text == "" || strings.HasPrefix(text, "#") {
+			continue
+		}
+		if err := fn(lineNo, text); err != nil {
+			return err
+		}
+	}
+	if err := sc.Err(); err != nil {
+		return fmt.Errorf("scan: %w", err)
+	}
+	return nil
+}
+
+// SplitRecord splits one TSV line into its user, tag and resource
+// fields, rejecting lines that do not hold exactly three.
+func SplitRecord(line int, text string) (user, tag, resource string, err error) {
+	parts := strings.Split(text, "\t")
+	if len(parts) != 3 {
+		return "", "", "", fmt.Errorf("line %d: want 3 tab-separated fields, got %d", line, len(parts))
+	}
+	return parts[0], parts[1], parts[2], nil
+}
+
 // ReadTSV parses tab-separated (user, tag, resource) lines into a
 // dataset. Blank lines and lines starting with '#' are skipped.
 func ReadTSV(r io.Reader) (*Dataset, error) {
 	d := NewDataset()
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 0, 64*1024), 16*1024*1024)
-	lineNo := 0
-	for sc.Scan() {
-		lineNo++
-		line := strings.TrimRight(sc.Text(), "\r\n")
-		if line == "" || strings.HasPrefix(line, "#") {
-			continue
+	err := ScanTSV(r, func(line int, text string) error {
+		u, t, res, err := SplitRecord(line, text)
+		if err != nil {
+			return err
 		}
-		parts := strings.Split(line, "\t")
-		if len(parts) != 3 {
-			return nil, fmt.Errorf("tagging: line %d: want 3 tab-separated fields, got %d", lineNo, len(parts))
-		}
-		d.Add(parts[0], parts[1], parts[2])
-	}
-	if err := sc.Err(); err != nil {
-		return nil, fmt.Errorf("tagging: scan: %w", err)
+		d.Add(u, t, res)
+		return nil
+	})
+	if err != nil {
+		return nil, fmt.Errorf("tagging: %w", err)
 	}
 	return d, nil
 }

@@ -5,7 +5,6 @@ import (
 	"sync"
 
 	"repro/internal/mat"
-	"repro/internal/shard"
 )
 
 // ProjectedUnfold computes, directly from the sparse coordinate data, the
@@ -33,42 +32,15 @@ func ProjectedUnfold(f *Sparse3, mode int, ya, yb *mat.Matrix) *mat.Matrix {
 // worker in the same entry order as the serial loop, so the unfolding is
 // bit-identical for every worker count.
 func ProjectedUnfoldWorkers(f *Sparse3, mode int, ya, yb *mat.Matrix, workers int) *mat.Matrix {
-	return ProjectedUnfoldSharded(f, mode, ya, yb, workers, 1)
-}
-
-// ProjectedUnfoldSharded is ProjectedUnfoldWorkers with the output rows
-// additionally partitioned into shards contiguous blocks, processed one
-// block at a time (each block fanned across the worker pool). A block is
-// the bounded unit of work a sharded or multi-machine sweep computes
-// independently — see ProjectedUnfoldBlock for the standalone form. Rows
-// are accumulated exactly as in the monolithic product, so the unfolding
-// is bit-identical for every (workers, shards) combination.
-func ProjectedUnfoldSharded(f *Sparse3, mode int, ya, yb *mat.Matrix, workers, shards int) *mat.Matrix {
 	u := prepUnfold(f, mode, ya, yb)
 	w := mat.New(u.rows, u.cols)
-	for _, r := range shard.Plan(u.rows, shards) {
-		u.accumulate(w, 0, r.Lo, r.Hi, workers)
-	}
-	return w
-}
-
-// ProjectedUnfoldBlock computes only rows [lo, hi) of the projected
-// mode-n unfolding, as an (hi−lo)×(Ja·Jb) block — the distributable unit
-// of the sharded sweep. Stitching the blocks of any shard plan together
-// reproduces ProjectedUnfold bit for bit.
-func ProjectedUnfoldBlock(f *Sparse3, mode int, ya, yb *mat.Matrix, lo, hi, workers int) *mat.Matrix {
-	u := prepUnfold(f, mode, ya, yb)
-	if lo < 0 || hi < lo || hi > u.rows {
-		panic(fmt.Sprintf("tensor: block [%d,%d) out of range [0,%d)", lo, hi, u.rows))
-	}
-	w := mat.New(hi-lo, u.cols)
-	u.accumulate(w, -lo, lo, hi, workers)
+	u.accumulate(w, workers)
 	return w
 }
 
 // unfoldJob carries the row bucketing of one projected-unfold call: the
 // deterministic counting sort of entries by output row that lets any
-// row range be accumulated independently, in serial entry order.
+// row be accumulated independently, in serial entry order.
 type unfoldJob struct {
 	entries    []Entry
 	rowOf      func(Entry) (row, ia, ib int)
@@ -123,16 +95,14 @@ func prepUnfold(f *Sparse3, mode int, ya, yb *mat.Matrix) *unfoldJob {
 	return u
 }
 
-// accumulate adds unfolding rows [lo, hi) into w, writing row r to w's
-// row r+shift (shift 0 accumulates in place; shift −lo fills a
-// standalone block), fanning the rows across the worker pool. Each
-// output row is accumulated by exactly one goroutine in serial entry
-// order.
-func (u *unfoldJob) accumulate(w *mat.Matrix, shift, lo, hi, workers int) {
-	cost := (u.starts[hi] - u.starts[lo]) * u.cols
-	parallelRows(hi-lo, cost, workers, func(blo, bhi int) {
-		for r := lo + blo; r < lo+bhi; r++ {
-			dst := w.Row(r + shift)
+// accumulate adds every unfolding row into w, fanning the rows across
+// the worker pool. Each output row is accumulated by exactly one
+// goroutine in serial entry order.
+func (u *unfoldJob) accumulate(w *mat.Matrix, workers int) {
+	cost := len(u.entries) * u.cols
+	parallelRows(u.rows, cost, workers, func(lo, hi int) {
+		for r := lo; r < hi; r++ {
+			dst := w.Row(r)
 			for _, idx := range u.order[u.starts[r]:u.starts[r+1]] {
 				e := u.entries[idx]
 				_, ia, ib := u.rowOf(e)
